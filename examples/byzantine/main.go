@@ -177,10 +177,18 @@ func pokeUntilCommit(c *client.Client, keys []string, deadline time.Duration) ti
 }
 
 // requireNewView asserts every replica in rs moved past view 0.
+//
+// A commit needs only a 2f+1 quorum of the new view, which may include a
+// deposed leader that follows honestly, so a listed replica can still be
+// installing the NewView when the first commit returns; it gets 10s.
 func requireNewView(sys *core.System, rs ...int32) {
+	deadline := time.Now().Add(10 * time.Second)
 	for _, r := range rs {
-		if v := sys.Node(core.NodeID{Cluster: 0, Replica: r}).CurrentView(); v == 0 {
-			log.Fatalf("  FLEET FAILED: replica %d never left view 0", r)
+		for sys.Node(core.NodeID{Cluster: 0, Replica: r}).CurrentView() == 0 {
+			if time.Now().After(deadline) {
+				log.Fatalf("  FLEET FAILED: replica %d never left view 0", r)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -11,9 +11,19 @@
 // batch is:
 //
 //	leader        --PrePrepare(batch)-->  all replicas
-//	each replica  --Prepare(digest)--->   all replicas   (after validating)
-//	each replica  --Commit(digest,sig)->  all replicas   (after 2f+1 Prepares)
+//	each replica  --Prepare(digest)--->   other replicas (after validating)
+//	each replica  --Commit(digest,sig)->  other replicas (after 2f+1 Prepares)
 //	deliver when 2f+1 valid Commits are held
+//
+// A replica records its own Prepare and Commit locally as it signs them,
+// and the leader trusts the PrePrepare it signed itself; every other
+// message is verified — including one whose sender claims to be the
+// receiver, since the transport does not authenticate senders. Peer
+// votes are stored unverified and their signatures checked only when
+// they are counted: the moment the stored votes would complete a 2f+1
+// quorum, in replica order, until 2f+1 verified votes are held. A vote
+// that arrives after its quorum is never verified, a vote that fails is
+// dropped, and unverified votes are never relayed as evidence.
 //
 // The Commit message carries the replica's signature over the batch-header
 // digest; any 2f+1 commit quorum therefore contains at least f+1 honest
@@ -40,10 +50,8 @@
 package bft
 
 import (
-	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"transedge/internal/cryptoutil"
@@ -64,6 +72,9 @@ type Behavior struct {
 	// CorruptCertSig makes the replica emit garbage certificate
 	// signatures in its Commit messages.
 	CorruptCertSig bool
+	// CorruptPrepareSig makes the replica emit garbage signatures in its
+	// Prepare messages.
+	CorruptPrepareSig bool
 	// TamperBatch makes a byzantine leader flip a committed decision in
 	// the proposed batch after computing honest segments elsewhere; used
 	// to show content validation rejects it.
@@ -126,12 +137,19 @@ type PrePrepare struct {
 	View      uint64
 	Batch     *protocol.Batch
 	LeaderSig []byte // leader's signature over the batch digest
+	// signer is set only on the signing leader's in-memory message: when
+	// it comes back through the transport, that replica skips verifying
+	// its own signature. A message built anywhere else never carries it,
+	// so a forgery claiming to come from the receiver is still verified.
+	signer *Replica
 }
 
 // Prepare is a replica's vote that it accepts the proposal. Sig signs
-// protocol.PrepareSigDigest(cluster, View, ID, Digest) and is verified on
-// receipt, so any 2f+1 counted prepares are a transferable prepare
-// certificate — the evidence view-change votes carry.
+// protocol.PrepareSigDigest(cluster, View, ID, Digest). A receiver stores
+// it unverified and verifies it exactly when it is counted toward the
+// 2f+1 prepare quorum, so any 2f+1 counted prepares are a transferable
+// prepare certificate — the evidence view-change votes carry, which never
+// includes an unverified prepare.
 type Prepare struct {
 	View   uint64
 	ID     int64
@@ -140,10 +158,13 @@ type Prepare struct {
 }
 
 // Commit is a replica's second-phase vote; CertSig is its certificate
-// signature over the batch-header digest. CertSig deliberately does NOT
-// cover View: a slot re-proposed with identical content after a view
-// change assembles its delivery certificate from commit votes cast in
-// any view, which is what lets delivery straddle a failover.
+// signature over the batch-header digest. Like a Prepare it is stored
+// unverified and verified exactly when it is counted toward the 2f+1
+// delivery quorum, so every signature in an assembled certificate has
+// been verified. CertSig deliberately does NOT cover View: a slot
+// re-proposed with identical content after a view change assembles its
+// delivery certificate from commit votes cast in any view, which is what
+// lets delivery straddle a failover.
 type Commit struct {
 	View    uint64 // informational: the sender's view when it committed
 	ID      int64
@@ -151,13 +172,16 @@ type Commit struct {
 	CertSig []byte
 }
 
-// prepVote is one replica's verified prepare for a slot: the digest it
-// voted for, the view it voted in, and its signature over
-// PrepareSigDigest — kept so a view-change vote can relay it.
-type prepVote struct {
-	view   uint64
-	digest protocol.Digest
-	sig    []byte
+// vote is one replica's Prepare or Commit for a slot as stored here: the
+// view it was cast in, the digest it votes for, and its signature (over
+// PrepareSigDigest for a prepare, over the digest for a commit). verified
+// records that the signature has been checked: peer votes are stored
+// unverified and checked only when counted (see quorum).
+type vote struct {
+	view     uint64
+	digest   protocol.Digest
+	sig      []byte
+	verified bool
 }
 
 // instance tracks one batch's consensus progress.
@@ -169,22 +193,23 @@ type instance struct {
 	validated bool // Validate ran and passed; Prepare sent
 	committed bool // Commit sent
 	delivered bool
-	prepares  map[int32]prepVote // replica -> newest-view verified prepare
-	commits   map[int32][]byte   // replica -> valid cert sig (digest-matched)
-	// pendingCommits buffers commit votes that arrived before this
-	// replica validated the proposal (message interleaving makes this
-	// common: peers only need 2f+1 prepares, not ours).
-	pendingCommits map[int32]*Commit
+	prepares  map[int32]vote // replica -> newest-view prepare
+	// commits holds one commit vote per replica. Before this replica has
+	// validated the proposal (message interleaving makes early commits
+	// common: peers only need 2f+1 prepares, not ours) any digest is
+	// held; validation drops the ones that do not match.
+	commits map[int32]vote
 }
 
 // Replica is one cluster member's consensus engine.
 type Replica struct {
 	cfg          Config
 	self         NodeID
-	peers        []NodeID
-	nextDeliver  int64 // next batch ID to deliver
-	nextValidate int64 // next batch ID to validate (runs ahead of delivery)
-	nextPropose  int64 // next slot the leader may propose into
+	peers        []NodeID // every replica of the cluster, self included
+	others       []NodeID // peers without self: the targets of our votes
+	nextDeliver  int64    // next batch ID to deliver
+	nextValidate int64    // next batch ID to validate (runs ahead of delivery)
+	nextPropose  int64    // next slot the leader may propose into
 	instances    map[int64]*instance
 	// pendingPrePrepare buffers proposals that arrived before their turn.
 	pendingPrePrepare map[int64]*PrePrepare
@@ -229,6 +254,7 @@ type Replica struct {
 	equivocations atomic.Int64
 	rejected      atomic.Int64
 	droppedAhead  atomic.Int64
+	sigVerifies   atomic.Int64
 }
 
 // New creates a replica engine. Batch IDs start at 1 (batch 0 is the
@@ -254,7 +280,11 @@ func New(cfg Config) *Replica {
 		lastCert:          cfg.GenesisCert,
 	}
 	for i := 0; i < cfg.N; i++ {
-		r.peers = append(r.peers, NodeID{Cluster: cfg.Cluster, Replica: int32(i)})
+		id := NodeID{Cluster: cfg.Cluster, Replica: int32(i)}
+		r.peers = append(r.peers, id)
+		if id != r.self {
+			r.others = append(r.others, id)
+		}
 	}
 	return r
 }
@@ -324,6 +354,13 @@ func (r *Replica) Rejected() int { return int(r.rejected.Load()) }
 // DroppedAhead returns how many consensus messages were dropped for
 // carrying sequence numbers beyond the buffering window.
 func (r *Replica) DroppedAhead() int { return int(r.droppedAhead.Load()) }
+
+// SigVerifies returns how many PrePrepare, Prepare, and Commit signatures
+// this replica has verified. On a healthy cluster that is 2f peer
+// prepares and 2f peer commits per delivered batch, plus the PrePrepare
+// on a follower. Checks made while installing a new view (ViewChange
+// signatures, tip certificates, frontier evidence) are not counted.
+func (r *Replica) SigVerifies() int64 { return r.sigVerifies.Load() }
 
 // HighestSeen returns the largest sequence number observed in any
 // consensus message, including dropped ones.
@@ -488,7 +525,7 @@ func (r *Replica) Propose(b *protocol.Batch) error {
 			forged.Timestamp = b.Timestamp + int64(i)
 			forged.Seal()
 			d := forged.Digest()
-			r.send(peer, &PrePrepare{View: r.view, Batch: forged, LeaderSig: r.cfg.Keys.Sign(d[:])})
+			r.send(peer, &PrePrepare{View: r.view, Batch: forged, LeaderSig: r.cfg.Keys.Sign(d[:]), signer: r})
 		}
 		return nil
 	}
@@ -497,8 +534,10 @@ func (r *Replica) Propose(b *protocol.Batch) error {
 	// and delivery steps) will reuse.
 	b.Seal()
 	d := b.Digest()
-	pp := &PrePrepare{View: r.view, Batch: b, LeaderSig: r.cfg.Keys.Sign(d[:])}
-	r.broadcast(pp)
+	pp := &PrePrepare{View: r.view, Batch: b, LeaderSig: r.cfg.Keys.Sign(d[:]), signer: r}
+	// The proposal reaches the leader itself through the transport too, so
+	// Validate runs from the event loop and never inside Propose.
+	r.multicast(r.peers, pp)
 	return nil
 }
 
@@ -509,13 +548,31 @@ func (r *Replica) send(to NodeID, msg any) {
 	r.cfg.Net.Send(r.self, to, msg)
 }
 
-func (r *Replica) broadcast(msg any) {
+// broadcast sends msg to every other replica. Votes are recorded locally
+// when they are cast, so a replica never messages itself.
+func (r *Replica) broadcast(msg any) { r.multicast(r.others, msg) }
+
+func (r *Replica) multicast(tos []NodeID, msg any) {
 	if r.cfg.Behavior.Silent {
 		return
 	}
 	// One envelope build and one network-lock acquisition for the whole
 	// fan-out, instead of per peer.
-	r.cfg.Net.Broadcast(r.self, r.peers, msg)
+	r.cfg.Net.Broadcast(r.self, tos, msg)
+}
+
+// verify checks one proposal or vote signature, counting it for
+// SigVerifies.
+func (r *Replica) verify(from NodeID, msg, sig []byte) bool {
+	r.sigVerifies.Add(1)
+	return cryptoutil.Verify(r.cfg.Ring.PublicKey(from), msg, sig)
+}
+
+// member reports whether from is a replica of this cluster. Votes are
+// stored before they are verified, so this bounds their maps at n
+// entries per slot.
+func (r *Replica) member(from NodeID) bool {
+	return from.Cluster == r.cfg.Cluster && from.Replica >= 0 && int(from.Replica) < r.cfg.N
 }
 
 // Handle processes one consensus message. It returns true if the message
@@ -543,10 +600,9 @@ func (r *Replica) inst(id int64) *instance {
 	in, ok := r.instances[id]
 	if !ok {
 		in = &instance{
-			id:             id,
-			prepares:       make(map[int32]prepVote),
-			commits:        make(map[int32][]byte),
-			pendingCommits: make(map[int32]*Commit),
+			id:       id,
+			prepares: make(map[int32]vote),
+			commits:  make(map[int32]vote),
 		}
 		r.instances[id] = in
 	}
@@ -571,7 +627,7 @@ func (r *Replica) onPrePrepare(from NodeID, m *PrePrepare) {
 		return // beyond the buffering window; state transfer catches us up
 	}
 	d := b.Digest()
-	if !cryptoutil.Verify(r.cfg.Ring.PublicKey(from), d[:], m.LeaderSig) {
+	if m.signer != r && !r.verify(from, d[:], m.LeaderSig) {
 		return // forged proposal
 	}
 	if prev, ok := r.proposedDigest[b.ID]; ok && prev != d {
@@ -615,8 +671,12 @@ func (r *Replica) startInstance(m *PrePrepare) {
 	in.validated = true
 	r.lastValidated = in.digest
 	r.nextValidate = b.ID + 1
+	for rep, c := range in.commits {
+		if c.digest != in.digest {
+			delete(in.commits, rep)
+		}
+	}
 	r.broadcastPrepare(in)
-	r.replayPendingCommits(in)
 	r.maybeCommit(in)
 	r.maybeDeliver(in)
 	// A buffered proposal for the next slot can be validated right away.
@@ -626,78 +686,106 @@ func (r *Replica) startInstance(m *PrePrepare) {
 	}
 }
 
-// replayPendingCommits re-checks commit votes that arrived before this
-// replica validated the proposal. Pipelined slots make these bursts
-// common — peers race whole consensus phases ahead — so the buffered
-// votes' certificate signatures are verified concurrently (they are
-// independent Ed25519 checks) before the results are applied serially.
-func (r *Replica) replayPendingCommits(in *instance) {
-	if len(in.pendingCommits) == 0 {
-		return
-	}
-	reps := make([]int32, 0, len(in.pendingCommits))
-	checks := make([]cryptoutil.SigCheck, 0, len(in.pendingCommits))
-	for rep, c := range in.pendingCommits {
-		delete(in.pendingCommits, rep)
-		pub, ok := r.vetCommit(in, NodeID{Cluster: r.cfg.Cluster, Replica: rep}, c)
-		if !ok {
-			continue
-		}
-		reps = append(reps, rep)
-		checks = append(checks, cryptoutil.SigCheck{Pub: pub, Msg: c.Digest[:], Sig: c.CertSig})
-	}
-	for i, ok := range cryptoutil.VerifyEach(checks) {
-		if ok {
-			in.commits[reps[i]] = checks[i].Sig
-		}
-	}
-}
-
-// vetCommit runs the cheap acceptance checks shared by the direct and
-// buffered-replay commit paths — digest match and signer lookup —
-// returning the key for the (expensive) signature verification each path
-// schedules its own way.
-func (r *Replica) vetCommit(in *instance, from NodeID, m *Commit) (ed25519.PublicKey, bool) {
-	if m.Digest != in.digest {
-		return nil, false
-	}
-	pub := r.cfg.Ring.PublicKey(from)
-	if pub == nil {
-		return nil, false
-	}
-	return pub, true
-}
-
-// broadcastPrepare signs and sends this replica's prepare for the
-// instance in its adopted view.
+// broadcastPrepare signs this replica's prepare for the instance in its
+// adopted view, records it locally as a verified vote, and sends it to
+// the other replicas.
 func (r *Replica) broadcastPrepare(in *instance) {
 	psd := protocol.PrepareSigDigest(r.cfg.Cluster, in.view, in.id, in.digest)
-	r.broadcast(&Prepare{View: in.view, ID: in.id, Digest: in.digest, Sig: r.cfg.Keys.Sign(psd[:])})
+	sig := r.cfg.Keys.Sign(psd[:])
+	if r.cfg.Behavior.CorruptPrepareSig {
+		sig = make([]byte, len(sig)) // zeroed garbage
+	} else {
+		in.prepares[r.cfg.Replica] = vote{view: in.view, digest: in.digest, sig: sig, verified: true}
+	}
+	r.broadcast(&Prepare{View: in.view, ID: in.id, Digest: in.digest, Sig: sig})
 }
 
 func (r *Replica) onPrepare(from NodeID, m *Prepare) {
-	if from.Cluster != r.cfg.Cluster || m.ID < r.nextDeliver {
+	if !r.member(from) || m.ID < r.nextDeliver {
 		return
 	}
 	if !r.observe(m.ID) {
 		return
 	}
 	in := r.inst(m.ID)
-	if prev, ok := in.prepares[from.Replica]; ok && prev.view >= m.View {
-		return // keep each replica's newest-view prepare only
-	}
-	// Verify eagerly against the prepare's own claimed (view, id, digest):
-	// commit quorums are counted from these votes, and the safety of the
-	// view-change frontier (DESIGN §7) rests on every counted prepare
-	// being a relayable signature. A byzantine replica that attached
-	// garbage here must not count toward prepared-ness.
-	psd := protocol.PrepareSigDigest(r.cfg.Cluster, m.View, m.ID, m.Digest)
-	pub := r.cfg.Ring.PublicKey(from)
-	if pub == nil || !cryptoutil.Verify(pub, psd[:], m.Sig) {
-		return
-	}
-	in.prepares[from.Replica] = prepVote{view: m.View, digest: m.Digest, sig: m.Sig}
+	r.admit(in, in.prepares, from.Replica, vote{view: m.View, digest: m.Digest, sig: m.Sig}, true)
 	r.maybeCommit(in)
+	r.maybeDeliver(in)
+}
+
+// admit stores v as rep's vote unless the vote already stored for rep
+// takes precedence; prepare selects prepare rather than commit rules.
+// Votes are stored unverified and a message's sender is not
+// authenticated, so a conflict is settled by checking signatures: a
+// prepare from a newer view displaces the stored one only if it verifies,
+// and any other vote is refused only if the stored one verifies — a
+// forgery that arrived first is dropped instead of shadowing the honest
+// vote. Honest replicas never send conflicting votes within a view, so a
+// healthy cluster pays for none of these checks.
+func (r *Replica) admit(in *instance, votes map[int32]vote, rep int32, v vote, prepare bool) {
+	if prev, ok := votes[rep]; ok {
+		if prepare && v.view > prev.view {
+			if !r.checkVote(in.id, rep, &v, prepare) {
+				return
+			}
+		} else if prev.verified || r.checkVote(in.id, rep, &prev, prepare) {
+			votes[rep] = prev
+			return
+		}
+	}
+	votes[rep] = v
+}
+
+// checkVote verifies rep's stored vote for slot id and records the
+// result in v.verified.
+func (r *Replica) checkVote(id int64, rep int32, v *vote, prepare bool) bool {
+	msg := v.digest
+	if prepare {
+		msg = protocol.PrepareSigDigest(r.cfg.Cluster, v.view, id, v.digest)
+	}
+	v.verified = r.verify(NodeID{Cluster: r.cfg.Cluster, Replica: rep}, msg[:], v.sig)
+	return v.verified
+}
+
+// counts reports whether a stored vote counts toward the instance's
+// quorum: a commit must carry the validated digest, a prepare must also
+// have been cast in the view this replica validated the slot in.
+func counts(in *instance, v vote, prepare bool) bool {
+	return v.digest == in.digest && (!prepare || v.view == in.view)
+}
+
+// quorum reports whether votes hold 2f+1 verified votes that count for
+// the instance. This is where peer votes are verified: nothing is checked
+// until the stored votes could complete a quorum; then the unverified
+// ones are checked in replica order until 2f+1 verified votes are held.
+// A vote that fails is dropped, so the replica waits for the next one.
+func (r *Replica) quorum(in *instance, votes map[int32]vote, prepare bool) bool {
+	need := 2*r.cfg.F + 1
+	matching, verified := 0, 0
+	for _, v := range votes {
+		if counts(in, v, prepare) {
+			matching++
+			if v.verified {
+				verified++
+			}
+		}
+	}
+	if matching < need {
+		return false
+	}
+	for rep := int32(0); verified < need && int(rep) < r.cfg.N; rep++ {
+		v, ok := votes[rep]
+		if !ok || v.verified || !counts(in, v, prepare) {
+			continue
+		}
+		if r.checkVote(in.id, rep, &v, prepare) {
+			votes[rep] = v
+			verified++
+		} else {
+			delete(votes, rep)
+		}
+	}
+	return verified >= need
 }
 
 // maybeCommit sends the Commit vote once 2f+1 matching Prepares are held
@@ -706,85 +794,61 @@ func (r *Replica) onPrepare(from NodeID, m *Prepare) {
 // holding a commit quorum member's evidence holds 2f+1 signatures over
 // one (view, id, digest) triple.
 func (r *Replica) maybeCommit(in *instance) {
-	if !in.validated || in.committed {
-		return
-	}
-	quorum := 2*r.cfg.F + 1
-	matching := 0
-	for _, pv := range in.prepares {
-		if pv.digest == in.digest && pv.view == in.view {
-			matching++
-		}
-	}
-	if matching < quorum {
+	if !in.validated || in.committed || !r.quorum(in, in.prepares, true) {
 		return
 	}
 	in.committed = true
 	sig := r.cfg.Keys.Sign(in.digest[:])
 	if r.cfg.Behavior.CorruptCertSig {
 		sig = make([]byte, len(sig)) // zeroed garbage
+	} else {
+		in.commits[r.cfg.Replica] = vote{view: in.view, digest: in.digest, sig: sig, verified: true}
 	}
 	r.broadcast(&Commit{View: in.view, ID: in.id, Digest: in.digest, CertSig: sig})
 }
 
 func (r *Replica) onCommit(from NodeID, m *Commit) {
-	if from.Cluster != r.cfg.Cluster || m.ID < r.nextDeliver {
+	if !r.member(from) || m.ID < r.nextDeliver {
 		return
 	}
 	if !r.observe(m.ID) {
 		return
 	}
 	in := r.inst(m.ID)
-	if _, dup := in.commits[from.Replica]; dup {
-		return
-	}
-	if !in.validated {
-		// Cannot check the digest yet; hold until validation.
-		if _, dup := in.pendingCommits[from.Replica]; !dup {
-			in.pendingCommits[from.Replica] = m
-		}
-		return
-	}
 	r.acceptCommit(in, from, m)
 	r.maybeDeliver(in)
 }
 
-// acceptCommit records a commit vote after digest and signature checks.
-// Only votes whose certificate signature actually verifies are counted —
-// corrupt signatures must never reach the assembled certificate.
+// acceptCommit stores a peer's commit vote, unverified. Once the proposal
+// is validated a vote for any other digest is dropped at once; its
+// certificate signature is verified only if the vote is counted toward
+// the delivery quorum, so corrupt signatures never reach the assembled
+// certificate.
 func (r *Replica) acceptCommit(in *instance, from NodeID, m *Commit) {
-	pub, ok := r.vetCommit(in, from, m)
-	if !ok || !cryptoutil.Verify(pub, m.Digest[:], m.CertSig) {
+	if in.validated && m.Digest != in.digest {
 		return
 	}
-	in.commits[from.Replica] = m.CertSig
+	r.admit(in, in.commits, from.Replica, vote{view: m.View, digest: m.Digest, sig: m.CertSig}, false)
 }
 
 // maybeDeliver delivers the instance once it holds a 2f+1 commit quorum,
 // assembling the f+1-signature certificate from the verified commit
 // signatures. Delivery is strictly in ID order.
 func (r *Replica) maybeDeliver(in *instance) {
-	if in.delivered || !in.validated || in.id != r.nextDeliver {
-		return
-	}
-	quorum := 2*r.cfg.F + 1
-	if len(in.commits) < quorum {
+	if in.delivered || !in.validated || in.id != r.nextDeliver || !r.quorum(in, in.commits, false) {
 		return
 	}
 	in.delivered = true
 
-	// Deterministic certificate: lowest replica indices first.
-	replicas := make([]int32, 0, len(in.commits))
-	for rep := range in.commits {
-		replicas = append(replicas, rep)
-	}
-	sort.Slice(replicas, func(i, j int) bool { return replicas[i] < replicas[j] })
+	// Deterministic certificate: lowest verified replica indices first.
 	cert := cryptoutil.Certificate{Cluster: r.cfg.Cluster}
-	for _, rep := range replicas[:r.cfg.F+1] {
-		cert.Signatures = append(cert.Signatures, cryptoutil.Signature{
-			Signer: NodeID{Cluster: r.cfg.Cluster, Replica: rep},
-			Sig:    in.commits[rep],
-		})
+	for rep := int32(0); len(cert.Signatures) <= r.cfg.F && int(rep) < r.cfg.N; rep++ {
+		if c, ok := in.commits[rep]; ok && c.verified && counts(in, c, false) {
+			cert.Signatures = append(cert.Signatures, cryptoutil.Signature{
+				Signer: NodeID{Cluster: r.cfg.Cluster, Replica: rep},
+				Sig:    c.sig,
+			})
+		}
 	}
 
 	r.lastDigest = in.digest

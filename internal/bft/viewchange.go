@@ -55,7 +55,10 @@ func (r *Replica) voteViewChange(v uint64) {
 
 // buildViewChange assembles and signs this replica's vote for view v:
 // the certified tip plus every validated undelivered slot with the
-// prepare signatures verified for (slot view, digest).
+// prepare signatures for (slot view, digest). Only verified prepares are
+// relayed: a stored prepare that was never counted is verified here
+// first, and dropped if it fails, so the vote carries the same evidence
+// whether or not this replica reached its prepare quorum.
 func (r *Replica) buildViewChange(v uint64) *protocol.ViewChange {
 	vc := &protocol.ViewChange{
 		Cluster:   r.cfg.Cluster,
@@ -75,9 +78,15 @@ func (r *Replica) buildViewChange(v uint64) *protocol.ViewChange {
 		in := r.instances[id]
 		e := protocol.PreparedEntry{ID: id, View: in.view, Digest: in.digest, Batch: in.batch}
 		for rep, pv := range in.prepares {
-			if pv.digest == in.digest && pv.view == in.view {
-				e.Prepares = append(e.Prepares, protocol.PrepareSig{Replica: rep, Sig: pv.sig})
+			if !counts(in, pv, true) {
+				continue
 			}
+			if !pv.verified && !r.checkVote(id, rep, &pv, true) {
+				delete(in.prepares, rep)
+				continue
+			}
+			in.prepares[rep] = pv
+			e.Prepares = append(e.Prepares, protocol.PrepareSig{Replica: rep, Sig: pv.sig})
 		}
 		sort.Slice(e.Prepares, func(i, j int) bool { return e.Prepares[i].Replica < e.Prepares[j].Replica })
 		vc.Entries = append(vc.Entries, e)
@@ -334,19 +343,16 @@ func (r *Replica) adoptNewView(nv *protocol.NewView) {
 		e := &entries[i]
 		in := r.inst(e.ID)
 		if prevIn, ok := old[e.ID]; ok {
-			// Carry verified prepares (per-replica newest view), commit
-			// votes — valid only if cast for the same digest — and
-			// commits buffered before validation.
+			// Carry prepares (per-replica newest view) and the commit votes
+			// cast for the same digest, verified or not: unverified ones
+			// are checked when counted, exactly as in the old view.
 			for rep, pv := range prevIn.prepares {
 				in.prepares[rep] = pv
 			}
-			if prevIn.validated && prevIn.digest == e.Digest {
-				for rep, sig := range prevIn.commits {
-					in.commits[rep] = sig
+			for rep, c := range prevIn.commits {
+				if c.digest == e.Digest {
+					in.commits[rep] = c
 				}
-			}
-			for rep, c := range prevIn.pendingCommits {
-				in.pendingCommits[rep] = c
 			}
 		}
 		in.batch = e.Batch
@@ -357,7 +363,6 @@ func (r *Replica) adoptNewView(nv *protocol.NewView) {
 		r.lastValidated = e.Digest
 		r.nextValidate = e.ID + 1
 		r.broadcastPrepare(in)
-		r.replayPendingCommits(in)
 		r.maybeCommit(in)
 	}
 	r.nextPropose = r.nextValidate

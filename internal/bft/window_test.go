@@ -120,7 +120,7 @@ func TestInWindowMessagesStillBuffered(t *testing.T) {
 		t.Fatalf("in-window prepare not buffered (%d instances)", len(r.instances))
 	}
 	r.Handle(from, &Commit{ID: inWindow, Digest: protocol.Digest{1}, CertSig: []byte("x")})
-	if got := len(r.instances[inWindow].pendingCommits); got != 1 {
+	if got := len(r.instances[inWindow].commits); got != 1 {
 		t.Fatalf("in-window commit not buffered (%d pending)", got)
 	}
 	// A pre-prepare for a future in-window slot is held for its turn.

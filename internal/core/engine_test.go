@@ -61,6 +61,14 @@ func TestLSMEngineFullSystem(t *testing.T) {
 			restarted.Tip(), sys.Node(core.NodeID{Cluster: 0, Replica: 0}).Tip())
 	}
 	settleTips(t, sys)
+	// The catch-up loop commits a variable number of batches. A tip on a
+	// checkpoint boundary leaves no WAL suffix above the stable
+	// checkpoint, so nothing would be replayed: commit past it.
+	leader := core.NodeID{Cluster: 0, Replica: 0}
+	for i := 0; sys.Node(leader).Tip()%int64(cfg.CheckpointInterval) == 0; i++ {
+		commit(1000 + i)
+		settleTips(t, sys)
+	}
 
 	// Kill the whole fleet. Nothing in memory survives; the fresh system
 	// over the same DataDir rebuilds LSM-backed state from checkpoints

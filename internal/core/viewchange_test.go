@@ -90,10 +90,19 @@ func TestEquivocatingLeaderDeposed(t *testing.T) {
 
 	pokeUntilCommit(t, c, keys, 20*time.Second)
 
+	// The first commit needs only a 2f+1 quorum of the new view, and the
+	// deposed leader follows honestly, so one honest replica may still be
+	// installing the NewView when the commit returns. Wait for it.
 	honestInNewView := 0
-	for r := int32(1); r < 4; r++ {
-		if sys.Node(core.NodeID{Cluster: 0, Replica: r}).CurrentView() > 0 {
-			honestInNewView++
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		honestInNewView = 0
+		for r := int32(1); r < 4; r++ {
+			if sys.Node(core.NodeID{Cluster: 0, Replica: r}).CurrentView() > 0 {
+				honestInNewView++
+			}
+		}
+		if honestInNewView == 3 || time.Now().After(deadline) {
+			break
 		}
 	}
 	if honestInNewView < 3 {
