@@ -95,6 +95,10 @@ func (c *Client) readOnly(keys []string, floors map[int32]int64, contact []int32
 	}
 	floor := func(cl int32) int64 { return floors[cl] }
 
+	// One timer serves every wait of the call; awaitRO re-arms it.
+	deadline := time.NewTimer(c.cfg.Timeout)
+	defer deadline.Stop()
+
 	// ---- Round 1: fan out, one node per partition (commit-free). ----
 	pending := make(map[int32]chan protocol.ROReply, len(clusters))
 	for _, cl := range clusters {
@@ -102,7 +106,7 @@ func (c *Client) readOnly(keys []string, floors map[int32]int64, contact []int32
 	}
 	replies := make(map[int32]*roundReply, len(clusters))
 	for _, cl := range clusters {
-		r, err := c.awaitRO(cl, byCluster[cl], pending[cl], floor(cl))
+		r, err := c.awaitRO(cl, byCluster[cl], pending[cl], floor(cl), deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +133,7 @@ func (c *Client) readOnly(keys []string, floors map[int32]int64, contact []int32
 			pending[cl] = c.sendRO(cl, byCluster[cl], minLCE, floor(cl))
 		}
 		for cl := range needed {
-			r, err := c.awaitRO(cl, byCluster[cl], pending[cl], floor(cl))
+			r, err := c.awaitRO(cl, byCluster[cl], pending[cl], floor(cl), deadline)
 			if err != nil {
 				return nil, fmt.Errorf("repair round %d: %w", rounds, err)
 			}
@@ -166,12 +170,15 @@ func (c *Client) sendRO(cluster int32, keys []string, asOfLCE, minBatch int64) c
 	return replyTo
 }
 
-// awaitRO waits for and fully verifies one partition's answer.
-func (c *Client) awaitRO(cluster int32, keys []string, ch chan protocol.ROReply, minBatch int64) (*roundReply, error) {
+// awaitRO waits for and fully verifies one partition's answer, giving it
+// the full timeout: deadline is re-armed on entry (a Reset timer never
+// delivers a stale expiry).
+func (c *Client) awaitRO(cluster int32, keys []string, ch chan protocol.ROReply, minBatch int64, deadline *time.Timer) (*roundReply, error) {
+	deadline.Reset(c.cfg.Timeout)
 	select {
 	case r := <-ch:
 		return c.verifyRO(cluster, keys, &r, minBatch)
-	case <-time.After(c.cfg.Timeout):
+	case <-deadline.C:
 		return nil, fmt.Errorf("%w: read-only request to cluster %d", ErrTimeout, cluster)
 	}
 }
@@ -267,7 +274,7 @@ func (c *Client) verifyRO(cluster int32, keys []string, r *protocol.ROReply, min
 	if c.cfg.MeasureProofBytes {
 		n := 0
 		if r.Multi != nil {
-			n = len(protocol.EncodeMultiProof(r.Multi))
+			n = protocol.MultiProofSize(r.Multi)
 		} else {
 			for i := range r.Values {
 				v := &r.Values[i]

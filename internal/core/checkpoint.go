@@ -7,7 +7,6 @@ import (
 	"transedge/internal/cryptoutil"
 	"transedge/internal/merkle"
 	"transedge/internal/protocol"
-	"transedge/internal/store"
 )
 
 // Checkpointing and state transfer (DESIGN.md §6).
@@ -64,17 +63,6 @@ func (n *Node) openGroups() []protocol.CheckpointGroup {
 	return out
 }
 
-// snapshotEntries exports the store at asOf as protocol snapshot
-// entries (key-sorted, the canonical digest order).
-func (n *Node) snapshotEntries(asOf int64) []protocol.SnapshotEntry {
-	kvs := n.st.ExportAsOf(asOf)
-	out := make([]protocol.SnapshotEntry, len(kvs))
-	for i, kv := range kvs {
-		out[i] = protocol.SnapshotEntry{Key: kv.Key, Value: kv.Value, Writer: kv.Writer}
-	}
-	return out
-}
-
 // maybeCheckpoint runs after delivering batch id: at every checkpoint
 // interval it derives this replica's checkpoint, votes for it, and
 // replays any buffered peer votes. The store scan happens synchronously
@@ -101,7 +89,8 @@ func (n *Node) maybeCheckpoint(id int64) {
 		return
 	}
 	groups := n.openGroups()
-	entries := n.snapshotEntries(id)
+	// Key-sorted, the canonical digest order.
+	entries := n.st.ExportAsOf(id)
 	digest := protocol.CheckpointDigest(n.cfg.Cluster, id, entry.digest,
 		protocol.SnapshotDigest(entries), protocol.GroupsDigest(groups))
 	cs := &checkpointState{
@@ -507,11 +496,7 @@ func (n *Node) installCheckpointParts(id int64, header protocol.BatchHeader,
 	// from the abandoned prefix is discarded wholesale (a recovering
 	// replica has none; a lagging one rebuilds from the checkpoint).
 	n.rollbackSpec(0)
-	kvs := make([]store.KV, len(entries))
-	for i := range entries {
-		kvs[i] = store.KV{Key: entries[i].Key, Value: entries[i].Value, Writer: entries[i].Writer}
-	}
-	n.st.ImportAsOf(id, kvs)
+	n.st.ImportAsOf(id, entries)
 	n.curTree = tree
 	n.trees = map[int64]*merkle.Tree{id: tree}
 	n.log.init(id, &logEntry{header: header, digest: headerDigest, cert: headerCert})

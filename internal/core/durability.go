@@ -135,10 +135,10 @@ func (n *Node) persistCheckpoint(cs *checkpointState) {
 		Entries:      cs.entries,
 		Groups:       cs.groups,
 	}
-	payload := protocol.EncodeDurableCheckpoint(c)
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], crc32.ChecksumIEEE(payload))
-	copy(buf[4:], payload)
+	// The file is CRC ‖ payload: encode behind a reserved 4-byte slot in
+	// one exactly-sized buffer, then fill the slot in.
+	buf := protocol.AppendDurableCheckpoint(make([]byte, 4), c)
+	binary.BigEndian.PutUint32(buf[:4], crc32.ChecksumIEEE(buf[4:]))
 	if err := atomicWrite(n.checkpointDir(), checkpointFile, buf); err != nil {
 		n.Metrics.WALErrors++
 		return // WAL keeps the full history; recovery just replays more

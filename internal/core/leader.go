@@ -145,6 +145,7 @@ func (n *Node) onCoordinatorPrepare(from NodeID, m *protocol.CoordinatorPrepare)
 	proof := m.Proof
 	n.pendingEvidence[t.ID] = &proof
 	n.distTxns[t.ID] = &distTxn{rec: prec, prepareBatch: -1}
+	n.maybeBuildBatch(false)
 }
 
 // onPreparedVote handles step 5 of Fig. 3 at the coordinator: collect one

@@ -251,11 +251,11 @@ type Node struct {
 	// prepare batch was written.
 	pendingDecisions map[protocol.TxnID]*protocol.CommitDecision
 
-	// certCache memoizes batch-header certificate verifications keyed by
-	// header digest: all transactions of one prepare group share the same
-	// proof header, so this collapses O(txns) signature checks per batch
-	// into O(groups).
-	certCache map[protocol.Digest]bool
+	// certCache memoizes the header digests whose certificates verified:
+	// all transactions of one prepare group share the same proof header,
+	// so this collapses O(txns) signature checks per batch into
+	// O(groups). Failures are never cached (see verifyHeaderCert).
+	certCache map[protocol.Digest]struct{}
 
 	// Leader-only pipeline state.
 	pendingLocal    []protocol.Transaction
@@ -459,7 +459,7 @@ func NewNode(cfg NodeConfig) *Node {
 		preparedWrites:   make(keyRefs),
 		distTxns:         make(map[protocol.TxnID]*distTxn),
 		pendingDecisions: make(map[protocol.TxnID]*protocol.CommitDecision),
-		certCache:        make(map[protocol.Digest]bool),
+		certCache:        make(map[protocol.Digest]struct{}),
 		pendingEvidence:  make(map[protocol.TxnID]*protocol.PrepareProof),
 		pendingReads:     make(keyRefs),
 		pendingWrites:    make(keyRefs),
@@ -653,21 +653,34 @@ func leaderOf(cluster int32) NodeID {
 	return NodeID{Cluster: cluster, Replica: bft.LeaderReplica}
 }
 
+// certCacheLimit bounds certCache; a long-lived leader resets it rather
+// than let it grow without bound.
+const certCacheLimit = 4096
+
 // verifyHeaderCert checks an f+1 certificate over a batch header of any
-// cluster, memoized by header digest.
+// cluster, memoizing only successes by header digest. A failure says
+// nothing about the header: the transport does not authenticate senders,
+// so anyone can pair a real header with a corrupt certificate, and a
+// cached failure would make the honest message carrying the same header
+// (a prepare vote, a coordinator prepare) fail unchecked after it.
 func (n *Node) verifyHeaderCert(h *protocol.BatchHeader, cert cryptoutil.Certificate) bool {
 	d := h.Digest()
-	if ok, seen := n.certCache[d]; seen {
-		return ok
+	if _, ok := n.certCache[d]; ok {
+		return true
 	}
 	size := n.cfg.Ring.ClusterSize(h.Cluster)
 	if size == 0 {
 		return false
 	}
 	f := (size - 1) / 3
-	err := cryptoutil.VerifyCertificate(n.cfg.Ring, cert, d[:], f+1)
-	n.certCache[d] = err == nil
-	return err == nil
+	if cryptoutil.VerifyCertificate(n.cfg.Ring, cert, d[:], f+1) != nil {
+		return false
+	}
+	if len(n.certCache) >= certCacheLimit {
+		n.certCache = make(map[protocol.Digest]struct{}, certCacheLimit)
+	}
+	n.certCache[d] = struct{}{}
+	return true
 }
 
 // ownedKeys filters the keys of a read/write set belonging to this

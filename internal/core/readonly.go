@@ -193,11 +193,11 @@ func (n *Node) serveROSnapshot(m *protocol.RORequest, snap roSnapshot) {
 			}
 			reply.Values = append(reply.Values, protocol.ROValue{Key: k, Value: value, Found: true})
 		}
-		keys := make([][]byte, len(m.Keys))
+		khs := make([]merkle.Digest, len(m.Keys))
 		for i, k := range m.Keys {
-			keys[i] = []byte(k)
+			khs[i] = merkle.HashKey([]byte(k))
 		}
-		if mp, err := snap.tree.ProveMulti(keys); err == nil {
+		if mp, err := snap.tree.ProveMultiHashed(khs); err == nil {
 			if n.cfg.ROBehavior.CorruptProofs && len(mp.Nodes) > 0 {
 				mp.Nodes = mp.Nodes[:len(mp.Nodes)-1]
 			}

@@ -18,6 +18,7 @@ package merkle
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -74,14 +75,40 @@ var hashOps atomic.Uint64
 // HashOps returns the total node hashes computed since process start.
 func HashOps() uint64 { return hashOps.Load() }
 
+// Node hashes are cryptoutil.HashConcat over three parts — a tag (plus
+// the crit bit for inner nodes) and two digests — but the length-framed
+// bytes HashConcat would stream (each part preceded by its length as an
+// 8-byte big-endian integer) are written into a fixed array here, so a
+// node hash costs one sha256.Sum256 and no allocation. The known-answer
+// tests pin the digests to HashConcat's. Below, [n] is the length n as 8
+// big-endian bytes.
+
+// leafHash hashes [1] tag [32] keyHash [32] valHash (89 bytes).
 func leafHash(keyHash, valHash Digest) Digest {
 	hashOps.Add(1)
-	return cryptoutil.HashConcat([]byte{leafTag}, keyHash[:], valHash[:])
+	var b [8 + 1 + 8 + 32 + 8 + 32]byte
+	b[7] = 1
+	b[8] = leafTag
+	b[16] = 32
+	copy(b[17:49], keyHash[:])
+	b[56] = 32
+	copy(b[57:], valHash[:])
+	return sha256.Sum256(b[:])
 }
 
+// innerHash hashes [3] tag bitHi bitLo [32] left [32] right (91 bytes).
 func innerHash(bit int16, left, right Digest) Digest {
 	hashOps.Add(1)
-	return cryptoutil.HashConcat([]byte{innerTag, byte(bit >> 8), byte(bit)}, left[:], right[:])
+	var b [8 + 3 + 8 + 32 + 8 + 32]byte
+	b[7] = 3
+	b[8] = innerTag
+	b[9] = byte(bit >> 8)
+	b[10] = byte(bit)
+	b[18] = 32
+	copy(b[19:51], left[:])
+	b[58] = 32
+	copy(b[59:], right[:])
+	return sha256.Sum256(b[:])
 }
 
 func newLeaf(keyHash, valHash Digest) *node {

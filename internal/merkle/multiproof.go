@@ -59,62 +59,96 @@ type MultiNode struct {
 var ErrNoKeys = errors.New("merkle: multi-proof over zero keys")
 
 // ProveMulti produces one MultiProof covering every key (duplicates
-// collapse). No hashing happens here: the proof collects hashes the tree
-// already holds. The empty tree yields an empty proof — EmptyRoot is
-// well known, so the proof that nothing is present is the root itself.
+// collapse). No node hashing happens here: the proof collects hashes the
+// tree already holds. The empty tree yields an empty proof — EmptyRoot
+// is well known, so the proof that nothing is present is the root itself.
 func (t *Tree) ProveMulti(keys [][]byte) (MultiProof, error) {
 	if len(keys) == 0 {
+		return MultiProof{}, ErrNoKeys
+	}
+	khs := make([]Digest, len(keys))
+	for i, k := range keys {
+		khs[i] = HashKey(k)
+	}
+	return t.ProveMultiHashed(khs)
+}
+
+// ProveMultiHashed is ProveMulti for pre-hashed keys. The input slice is
+// reordered in place.
+//
+// The keys are routed down the trie by partitioning khs in place at each
+// crit bit, so sibling subtrees work on disjoint subranges and the output
+// depends only on the tree's shape, never on the key order. A counting
+// walk sizes the node slice exactly, so building the proof allocates
+// that one slice and nothing else.
+func (t *Tree) ProveMultiHashed(khs []Digest) (MultiProof, error) {
+	if len(khs) == 0 {
 		return MultiProof{}, ErrNoKeys
 	}
 	if t.root == nil {
 		return MultiProof{}, nil
 	}
-	khs := make([]Digest, 0, len(keys))
-	requested := make(map[Digest]bool, len(keys))
-	for _, k := range keys {
-		kh := HashKey(k)
-		if !requested[kh] {
-			requested[kh] = true
-			khs = append(khs, kh)
+	nodes := make([]MultiNode, 0, countMulti(t.root, khs))
+	return MultiProof{Nodes: appendMulti(nodes, t.root, khs)}, nil
+}
+
+// partitionBit reorders khs so that the keys with a 0 at bit come first,
+// and returns how many there are. Keys reaching a node need not share
+// the subtree's prefix (absent keys route through it too), so the split
+// is by the bit itself, not a search over sorted keys as in splitAt.
+func partitionBit(khs []Digest, bit int16) int {
+	i, j := 0, len(khs)
+	for i < j {
+		if bitAt(khs[i], int(bit)) == 0 {
+			i++
+			continue
 		}
+		j--
+		khs[i], khs[j] = khs[j], khs[i]
 	}
-	nodes := make([]MultiNode, 0, 2*len(khs))
-	var rec func(n *node, reach []Digest)
-	rec = func(n *node, reach []Digest) {
-		if n.bit < 0 {
-			if requested[n.keyHash] {
-				nodes = append(nodes, MultiNode{Kind: MultiLeafRef})
-			} else {
-				nodes = append(nodes, MultiNode{Kind: MultiLeafOther, KeyHash: n.keyHash, ValHash: n.valHash})
-			}
-			return
-		}
-		// Partition the reaching keys by this node's crit bit. Unlike
-		// ApplyBulk's splitAt, absent keys routed through the node need
-		// not share the subtree's prefix, so partition by the bit itself.
-		var zeros, ones []Digest
-		for _, kh := range reach {
-			if bitAt(kh, int(n.bit)) == 0 {
-				zeros = append(zeros, kh)
-			} else {
-				ones = append(ones, kh)
-			}
-		}
-		switch {
-		case len(ones) == 0:
-			nodes = append(nodes, MultiNode{Kind: MultiPrunedRight, Bit: n.bit, Sibling: n.right.hash})
-			rec(n.left, zeros)
-		case len(zeros) == 0:
-			nodes = append(nodes, MultiNode{Kind: MultiPrunedLeft, Bit: n.bit, Sibling: n.left.hash})
-			rec(n.right, ones)
-		default:
-			nodes = append(nodes, MultiNode{Kind: MultiInner, Bit: n.bit})
-			rec(n.left, zeros)
-			rec(n.right, ones)
-		}
+	return i
+}
+
+// countMulti returns how many proof nodes appendMulti will emit for the
+// keys reaching n.
+func countMulti(n *node, khs []Digest) int {
+	if n.bit < 0 {
+		return 1
 	}
-	rec(t.root, khs)
-	return MultiProof{Nodes: nodes}, nil
+	z := partitionBit(khs, n.bit)
+	switch {
+	case z == len(khs):
+		return 1 + countMulti(n.left, khs)
+	case z == 0:
+		return 1 + countMulti(n.right, khs)
+	default:
+		return 1 + countMulti(n.left, khs[:z]) + countMulti(n.right, khs[z:])
+	}
+}
+
+// appendMulti appends the preorder proof nodes for the keys reaching n.
+func appendMulti(nodes []MultiNode, n *node, khs []Digest) []MultiNode {
+	if n.bit < 0 {
+		for i := range khs {
+			if khs[i] == n.keyHash {
+				return append(nodes, MultiNode{Kind: MultiLeafRef})
+			}
+		}
+		return append(nodes, MultiNode{Kind: MultiLeafOther, KeyHash: n.keyHash, ValHash: n.valHash})
+	}
+	z := partitionBit(khs, n.bit)
+	switch {
+	case z == len(khs):
+		nodes = append(nodes, MultiNode{Kind: MultiPrunedRight, Bit: n.bit, Sibling: n.right.hash})
+		return appendMulti(nodes, n.left, khs)
+	case z == 0:
+		nodes = append(nodes, MultiNode{Kind: MultiPrunedLeft, Bit: n.bit, Sibling: n.left.hash})
+		return appendMulti(nodes, n.right, khs)
+	default:
+		nodes = append(nodes, MultiNode{Kind: MultiInner, Bit: n.bit})
+		nodes = appendMulti(nodes, n.left, khs[:z])
+		return appendMulti(nodes, n.right, khs[z:])
+	}
 }
 
 // KeyAnswer is one key's claimed outcome, as served: the raw key, the
@@ -126,29 +160,61 @@ type KeyAnswer struct {
 	Found bool
 }
 
-// mpNode is the parsed form of a MultiProof during verification.
-type mpNode struct {
-	bit         int16
-	pruned      bool
-	leaf        bool
-	ref         bool // leaf bound to a requested key; hashes resolved from answers
-	assigned    bool
-	hash        Digest
-	keyHash     Digest
-	valHash     Digest
-	left, right *mpNode
+// route is one answer on its way down the proof: its hashed key and
+// value, its index in the answer list, and whether it claims membership.
+type route struct {
+	kh, vh Digest
+	idx    int
+	found  bool
 }
 
-// VerifyMulti checks that proof authenticates every answer under root.
-// Structure first: the flattened nodes must parse to exactly one tree with
-// strictly increasing crit-bit indices root-to-leaf (the invariant that
-// stops subtree splicing, as in VerifyProof). Then each answer walks the
-// parsed tree by its key's bits; entering a pruned subtree is a
-// verification failure (the proof does not cover that key). Found answers
-// bind their key/value hashes to the leaf they land on; absent answers
-// must land on a leaf holding a different key. Finally the pruned tree is
-// folded bottom-up — each materialized node hashed exactly once — and
-// compared against the certified root.
+// routeStack is how many answers VerifyMulti routes without allocating.
+const routeStack = 16
+
+// Failure classes of a multi-proof, in the order VerifyMulti reports them
+// when several occur: a malformed flattening first, then a membership
+// claim the proof contradicts, then (by answer position) an absence
+// claim, then a requested-key leaf no answer resolves, and last a root
+// mismatch. The order is fixed so the verdict does not depend on where
+// in the preorder a failure happens to be met.
+const (
+	failFound = iota + 1
+	failAbsent
+	failUnresolved
+)
+
+// multiVerifier is the state of one VerifyMulti pass.
+type multiVerifier struct {
+	nodes   []MultiNode
+	pos     int
+	answers []KeyAnswer
+	// The first failure by the order above; failIdx breaks ties among
+	// absent answers by position. Once set, no further node is hashed.
+	fail    int
+	failIdx int
+	failErr error
+}
+
+// record keeps err if it ranks before the failure held so far.
+func (v *multiVerifier) record(class, idx int, err error) {
+	if v.fail == 0 || class < v.fail || (class == v.fail && class == failAbsent && idx < v.failIdx) {
+		v.fail, v.failIdx, v.failErr = class, idx, err
+	}
+}
+
+// VerifyMulti checks that proof authenticates every answer under root, in
+// one recursive pass over the preorder. Each answer is hashed once and
+// routed down by its key's crit bits, the way ProveMulti routes keys;
+// crit bits must strictly increase root-to-leaf (the invariant that stops
+// subtree splicing, as in VerifyProof), and an answer that enters a
+// pruned subtree fails — the proof does not cover that key. At a leaf,
+// Found answers bind their key/value hashes (a requested-key leaf takes
+// exactly one binding; an explicit leaf must hold exactly that binding)
+// and absent answers must find a different key there. Subtree digests
+// come back bottom-up, each materialized node hashed exactly once, and
+// the top one is compared against the certified root. Up to routeStack
+// answers are routed in a stack array, so verification allocates
+// nothing on the success path.
 func VerifyMulti(root Digest, answers []KeyAnswer, proof MultiProof) error {
 	if len(proof.Nodes) == 0 {
 		// Only the empty tree is proven by an empty proof.
@@ -162,61 +228,29 @@ func VerifyMulti(root Digest, answers []KeyAnswer, proof MultiProof) error {
 		}
 		return nil
 	}
-	top, rest, err := parseMulti(proof.Nodes, 0)
-	if err != nil {
-		return err
+	var buf [routeStack]route
+	rs := buf[:0]
+	if len(answers) > routeStack {
+		rs = make([]route, 0, len(answers))
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing nodes", ErrProofShape, len(rest))
-	}
-	// Resolve leaves from the answers: Found answers assign hashes to the
-	// ref leaves they land on; absent answers are checked afterwards so a
-	// later assignment cannot retroactively invalidate them.
-	for _, a := range answers {
-		if !a.Found {
-			continue
-		}
-		kh := HashKey(a.Key)
-		leaf := walkMulti(top, kh)
-		if leaf == nil {
-			return fmt.Errorf("%w: path for key %q pruned from proof", ErrBadProof, a.Key)
-		}
-		vh := HashValue(a.Value)
-		if !leaf.ref {
-			// A leaf shipped with explicit hashes can still prove
-			// membership — but only of exactly this binding.
-			if leaf.keyHash != kh || leaf.valHash != vh {
-				return fmt.Errorf("%w: leaf does not bind %q to the served value", ErrBadProof, a.Key)
-			}
-			continue
-		}
-		if leaf.assigned && (leaf.keyHash != kh || leaf.valHash != vh) {
-			return fmt.Errorf("%w: one leaf claimed for two bindings", ErrBadProof)
-		}
-		leaf.assigned = true
-		leaf.keyHash, leaf.valHash = kh, vh
-	}
-	for _, a := range answers {
+	for i := range answers {
+		a := &answers[i]
+		r := route{kh: HashKey(a.Key), idx: i, found: a.Found}
 		if a.Found {
-			continue
+			r.vh = HashValue(a.Value)
 		}
-		kh := HashKey(a.Key)
-		leaf := walkMulti(top, kh)
-		if leaf == nil {
-			return fmt.Errorf("%w: path for key %q pruned from proof", ErrBadProof, a.Key)
-		}
-		if leaf.ref && !leaf.assigned {
-			// An unresolved ref leaf has no hashes to fold; the server
-			// must ship absence terminals as MultiLeafOther.
-			return fmt.Errorf("%w: absence of %q rests on an unresolved leaf", ErrProofShape, a.Key)
-		}
-		if leaf.keyHash == kh {
-			return fmt.Errorf("%w: terminal leaf holds %q itself", ErrBadProof, a.Key)
-		}
+		rs = append(rs, r)
 	}
-	h, err := foldMulti(top)
+	v := multiVerifier{nodes: proof.Nodes, answers: answers}
+	h, err := v.subtree(0, rs)
 	if err != nil {
 		return err
+	}
+	if v.pos != len(v.nodes) {
+		return fmt.Errorf("%w: %d trailing nodes", ErrProofShape, len(v.nodes)-v.pos)
+	}
+	if v.fail != 0 {
+		return v.failErr
 	}
 	if h != root {
 		return ErrBadProof
@@ -224,90 +258,140 @@ func VerifyMulti(root Digest, answers []KeyAnswer, proof MultiProof) error {
 	return nil
 }
 
-// parseMulti consumes one subtree from the flattened preorder, enforcing
-// kind validity and strictly increasing crit-bit indices (minBit). It
-// returns the parsed subtree and the unconsumed tail.
-func parseMulti(nodes []MultiNode, minBit int16) (*mpNode, []MultiNode, error) {
-	if len(nodes) == 0 {
-		return nil, nil, fmt.Errorf("%w: truncated multi-proof", ErrProofShape)
+// subtree consumes one subtree of the preorder, reached by rs, and
+// returns its digest. A malformed flattening returns at once; every other
+// failure is recorded and the walk goes on, so a later shape error still
+// takes precedence.
+func (v *multiVerifier) subtree(minBit int16, rs []route) (Digest, error) {
+	if v.pos == len(v.nodes) {
+		return Digest{}, fmt.Errorf("%w: truncated multi-proof", ErrProofShape)
 	}
-	nd := nodes[0]
-	rest := nodes[1:]
+	nd := &v.nodes[v.pos]
+	v.pos++
 	switch nd.Kind {
 	case MultiLeafRef:
-		return &mpNode{bit: -1, leaf: true, ref: true}, rest, nil
+		return v.refLeaf(rs), nil
 	case MultiLeafOther:
-		return &mpNode{bit: -1, leaf: true, keyHash: nd.KeyHash, valHash: nd.ValHash}, rest, nil
+		return v.otherLeaf(nd, rs), nil
 	case MultiInner, MultiPrunedLeft, MultiPrunedRight:
-		if nd.Bit < minBit || nd.Bit >= numBits {
-			return nil, nil, fmt.Errorf("%w: crit bit %d out of order", ErrProofShape, nd.Bit)
-		}
-		n := &mpNode{bit: nd.Bit}
-		var err error
-		switch nd.Kind {
-		case MultiInner:
-			if n.left, rest, err = parseMulti(rest, nd.Bit+1); err != nil {
-				return nil, nil, err
-			}
-			if n.right, rest, err = parseMulti(rest, nd.Bit+1); err != nil {
-				return nil, nil, err
-			}
-		case MultiPrunedLeft:
-			n.left = &mpNode{bit: -1, pruned: true, hash: nd.Sibling}
-			if n.right, rest, err = parseMulti(rest, nd.Bit+1); err != nil {
-				return nil, nil, err
-			}
-		case MultiPrunedRight:
-			n.right = &mpNode{bit: -1, pruned: true, hash: nd.Sibling}
-			if n.left, rest, err = parseMulti(rest, nd.Bit+1); err != nil {
-				return nil, nil, err
-			}
-		}
-		return n, rest, nil
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown node kind %d", ErrProofShape, nd.Kind)
+		return Digest{}, fmt.Errorf("%w: unknown node kind %d", ErrProofShape, nd.Kind)
+	}
+	if nd.Bit < minBit || nd.Bit >= numBits {
+		return Digest{}, fmt.Errorf("%w: crit bit %d out of order", ErrProofShape, nd.Bit)
+	}
+	bit := nd.Bit
+	z := partitionRoutes(rs, bit)
+	var l, r Digest
+	var err error
+	switch nd.Kind {
+	case MultiInner:
+		if l, err = v.subtree(bit+1, rs[:z]); err != nil {
+			return Digest{}, err
+		}
+		if r, err = v.subtree(bit+1, rs[z:]); err != nil {
+			return Digest{}, err
+		}
+	case MultiPrunedLeft:
+		v.pruned(rs[:z])
+		l = nd.Sibling
+		if r, err = v.subtree(bit+1, rs[z:]); err != nil {
+			return Digest{}, err
+		}
+	case MultiPrunedRight:
+		v.pruned(rs[z:])
+		r = nd.Sibling
+		if l, err = v.subtree(bit+1, rs[:z]); err != nil {
+			return Digest{}, err
+		}
+	}
+	if v.fail != 0 {
+		return Digest{}, nil
+	}
+	return innerHash(bit, l, r), nil
+}
+
+// partitionRoutes is partitionBit for routes.
+func partitionRoutes(rs []route, bit int16) int {
+	i, j := 0, len(rs)
+	for i < j {
+		if bitAt(rs[i].kh, int(bit)) == 0 {
+			i++
+			continue
+		}
+		j--
+		rs[i], rs[j] = rs[j], rs[i]
+	}
+	return i
+}
+
+// pruned fails every answer whose path enters a pruned subtree.
+func (v *multiVerifier) pruned(rs []route) {
+	for i := range rs {
+		class := failAbsent
+		if rs[i].found {
+			class = failFound
+		}
+		v.record(class, rs[i].idx, fmt.Errorf("%w: path for key %q pruned from proof", ErrBadProof, v.answers[rs[i].idx].Key))
 	}
 }
 
-// walkMulti descends by the key hash's bits to the terminal node, or nil
-// when the path enters a pruned subtree.
-func walkMulti(n *mpNode, kh Digest) *mpNode {
-	for !n.leaf {
-		if n.pruned {
-			return nil
+// refLeaf resolves a requested-key leaf from the answers reaching it: the
+// Found ones must agree on one binding, and the absent ones must name a
+// different key than that binding.
+func (v *multiVerifier) refLeaf(rs []route) Digest {
+	var kh, vh Digest
+	bound := false
+	for i := range rs {
+		if !rs[i].found {
+			continue
 		}
-		if bitAt(kh, int(n.bit)) == 0 {
-			n = n.left
-		} else {
-			n = n.right
+		if bound && (rs[i].kh != kh || rs[i].vh != vh) {
+			v.record(failFound, rs[i].idx, fmt.Errorf("%w: one leaf claimed for two bindings", ErrBadProof))
+			continue
+		}
+		kh, vh, bound = rs[i].kh, rs[i].vh, true
+	}
+	for i := range rs {
+		if rs[i].found {
+			continue
+		}
+		key := v.answers[rs[i].idx].Key
+		switch {
+		case !bound:
+			// An unresolved ref leaf has no hashes to fold; the server
+			// must ship absence terminals as MultiLeafOther.
+			v.record(failAbsent, rs[i].idx, fmt.Errorf("%w: absence of %q rests on an unresolved leaf", ErrProofShape, key))
+		case rs[i].kh == kh:
+			v.record(failAbsent, rs[i].idx, fmt.Errorf("%w: terminal leaf holds %q itself", ErrBadProof, key))
 		}
 	}
-	return n
+	if !bound {
+		// Shape error, not a hash mismatch: the server shipped a leaf it
+		// claimed was a requested key's, but no served answer resolves it.
+		v.record(failUnresolved, 0, fmt.Errorf("%w: unresolved leaf in multi-proof", ErrProofShape))
+	}
+	if v.fail != 0 {
+		return Digest{}
+	}
+	return leafHash(kh, vh)
 }
 
-// foldMulti computes the subtree hash bottom-up; every materialized node
-// is hashed exactly once (via leafHash/innerHash, so HashOps counts the
-// verification work).
-func foldMulti(n *mpNode) (Digest, error) {
-	if n.pruned {
-		return n.hash, nil
-	}
-	if n.leaf {
-		if n.ref && !n.assigned {
-			// Shape error, not a hash mismatch: the server shipped a leaf
-			// it claimed was a requested key's, but no served answer
-			// resolves it.
-			return Digest{}, fmt.Errorf("%w: unresolved leaf in multi-proof", ErrProofShape)
+// otherLeaf checks the answers reaching a leaf shipped with explicit
+// hashes: it proves membership only of exactly its own binding, and
+// absence of every other key.
+func (v *multiVerifier) otherLeaf(nd *MultiNode, rs []route) Digest {
+	for i := range rs {
+		key := v.answers[rs[i].idx].Key
+		switch {
+		case rs[i].found && (rs[i].kh != nd.KeyHash || rs[i].vh != nd.ValHash):
+			v.record(failFound, rs[i].idx, fmt.Errorf("%w: leaf does not bind %q to the served value", ErrBadProof, key))
+		case !rs[i].found && rs[i].kh == nd.KeyHash:
+			v.record(failAbsent, rs[i].idx, fmt.Errorf("%w: terminal leaf holds %q itself", ErrBadProof, key))
 		}
-		return leafHash(n.keyHash, n.valHash), nil
 	}
-	l, err := foldMulti(n.left)
-	if err != nil {
-		return Digest{}, err
+	if v.fail != 0 {
+		return Digest{}
 	}
-	r, err := foldMulti(n.right)
-	if err != nil {
-		return Digest{}, err
-	}
-	return innerHash(n.bit, l, r), nil
+	return leafHash(nd.KeyHash, nd.ValHash)
 }

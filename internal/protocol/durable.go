@@ -190,12 +190,24 @@ type DurableCheckpoint struct {
 
 // EncodeDurableCheckpoint returns the canonical checkpoint-file payload.
 func EncodeDurableCheckpoint(c *DurableCheckpoint) []byte {
-	var e enc
-	e.b = append(e.b, []byte(durableCheckpointTag)...)
+	return AppendDurableCheckpoint(nil, c)
+}
+
+// AppendDurableCheckpoint appends the canonical checkpoint-file payload
+// to dst. The payload's exact size is computed first, so dst grows at
+// most once and a checkpoint of any size is encoded without copying: a
+// caller can reserve a prefix (the file's CRC slot) in the same buffer.
+func AppendDurableCheckpoint(dst []byte, c *DurableCheckpoint) []byte {
+	if size := durableCheckpointSize(c); cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
+	e := enc{b: dst}
+	e.b = append(e.b, durableCheckpointTag...)
 	e.i32(c.Cluster)
 	e.i64(c.CheckpointID)
 	e.u64(c.View)
-	e.bytes(c.Header.Encode())
+	e.u32(uint32(c.Header.encodedSize()))
+	e.b = appendHeader(e.b, &c.Header)
 	e.cert(&c.HeaderCert)
 	e.cert(&c.Cert)
 	e.u32(uint32(len(c.Entries)))
@@ -215,6 +227,34 @@ func EncodeDurableCheckpoint(c *DurableCheckpoint) []byte {
 		}
 	}
 	return e.b
+}
+
+// durableCheckpointSize returns the exact length of c's payload.
+func durableCheckpointSize(c *DurableCheckpoint) int {
+	n := len(durableCheckpointTag) + 4 + 8 + 8
+	n += 4 + c.Header.encodedSize()
+	n += certSize(&c.HeaderCert) + certSize(&c.Cert)
+	n += 4
+	for i := range c.Entries {
+		n += 4 + len(c.Entries[i].Key) + 4 + len(c.Entries[i].Value) + 8
+	}
+	n += 4
+	for i := range c.Groups {
+		n += 8 + 4
+		for j := range c.Groups[i].Recs {
+			n += transactionSize(&c.Groups[i].Recs[j].Txn) + 4
+		}
+	}
+	return n
+}
+
+// certSize returns the canonical encoding length of c.
+func certSize(c *cryptoutil.Certificate) int {
+	n := 4 + 4
+	for _, s := range c.Signatures {
+		n += 4 + 4 + 4 + len(s.Sig)
+	}
+	return n
 }
 
 // DecodeDurableCheckpoint parses a canonical checkpoint-file payload.

@@ -197,28 +197,49 @@ type BatchHeader struct {
 	MerkleRoot Digest
 }
 
+// batchHeaderTag opens every header encoding (domain separation).
+const batchHeaderTag = "transedge-batch-v1"
+
+// encodedSize returns the exact canonical encoding length of h: domain
+// tag + cluster + ID + timestamp + LCE (28) + five digests (160) + the
+// length-prefixed CD vector.
+func (h *BatchHeader) encodedSize() int {
+	return len(batchHeaderTag) + 28 + 5*32 + 4 + 8*len(h.CD)
+}
+
+// appendHeader appends the canonical encoding of h to b. It is a plain
+// function of its arguments rather than an enc method, so a caller's
+// stack buffer stays on the stack (see Digest).
+func appendHeader(b []byte, h *BatchHeader) []byte {
+	be := binary.BigEndian
+	b = append(b, batchHeaderTag...)
+	b = be.AppendUint32(b, uint32(h.Cluster))
+	b = be.AppendUint64(b, uint64(h.ID))
+	b = append(b, h.PrevDigest[:]...)
+	b = be.AppendUint64(b, uint64(h.Timestamp))
+	b = append(b, h.LocalDigest[:]...)
+	b = append(b, h.PreparedDigest[:]...)
+	b = append(b, h.CommittedDigest[:]...)
+	b = be.AppendUint32(b, uint32(len(h.CD)))
+	for _, x := range h.CD {
+		b = be.AppendUint64(b, uint64(x))
+	}
+	b = be.AppendUint64(b, uint64(h.LCE))
+	return append(b, h.MerkleRoot[:]...)
+}
+
 // Encode returns the canonical encoding of h.
 func (h *BatchHeader) Encode() []byte {
-	// Fixed-size fields plus the CD vector: domain tag (18) + cluster +
-	// ID + timestamp + LCE (28) + five digests (160) + CD length prefix.
-	e := enc{b: make([]byte, 0, 18+28+5*32+4+8*len(h.CD))}
-	e.b = append(e.b, []byte("transedge-batch-v1")...)
-	e.i32(h.Cluster)
-	e.i64(h.ID)
-	e.digest(h.PrevDigest)
-	e.i64(h.Timestamp)
-	e.digest(h.LocalDigest)
-	e.digest(h.PreparedDigest)
-	e.digest(h.CommittedDigest)
-	e.cd(h.CD)
-	e.i64(h.LCE)
-	e.digest(h.MerkleRoot)
-	return e.b
+	return appendHeader(make([]byte, 0, h.encodedSize()), h)
 }
 
 // Digest hashes the header encoding; this is the signed batch digest.
+// The encoding is built on the stack, so a digest costs no allocation
+// (clients and leaders take one per certified reply or vote) unless the
+// CD vector is too long for the buffer.
 func (h *BatchHeader) Digest() Digest {
-	return cryptoutil.Hash(h.Encode())
+	var buf [384]byte
+	return cryptoutil.Hash(appendHeader(buf[:0], h))
 }
 
 // digestMemoDisabled bypasses the sealed-batch memo so Header()/Digest()

@@ -107,7 +107,7 @@ func DecodeAbsenceProof(b []byte) (*merkle.AbsenceProof, error) {
 // the common case, one per path level — costs 34 bytes, the same as a
 // single ProofStep.
 func EncodeMultiProof(p *merkle.MultiProof) []byte {
-	e := enc{b: make([]byte, 0, 1+34*len(p.Nodes))}
+	e := enc{b: make([]byte, 0, MultiProofSize(p))}
 	e.u8(multiProofCodecVersion)
 	for _, nd := range p.Nodes {
 		e.u8(nd.Kind)
@@ -124,6 +124,26 @@ func EncodeMultiProof(p *merkle.MultiProof) []byte {
 		}
 	}
 	return e.b
+}
+
+// MultiProofSize returns len(EncodeMultiProof(p)) without encoding it:
+// one version byte, then per node its kind byte plus the bit (inner and
+// pruned nodes), the sibling (pruned nodes) or both leaf hashes (absence
+// terminals).
+func MultiProofSize(p *merkle.MultiProof) int {
+	n := 1
+	for i := range p.Nodes {
+		n++
+		switch p.Nodes[i].Kind {
+		case merkle.MultiInner:
+			n++
+		case merkle.MultiPrunedLeft, merkle.MultiPrunedRight:
+			n += 1 + 32
+		case merkle.MultiLeafOther:
+			n += 2 * 32
+		}
+	}
+	return n
 }
 
 // DecodeMultiProof parses a canonical multi-proof encoding. The stream is
